@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -23,7 +24,6 @@ import (
 	"ftbar/internal/service"
 	"ftbar/internal/spec"
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // testCluster is a master plus n in-process workers on real loopback TCP.
@@ -378,17 +378,40 @@ func TestNoWorkers(t *testing.T) {
 	}
 }
 
-// TestVersionedJobRejected: a job stamped with a future wire version is
-// rejected as VERSION_MISMATCH by the worker, not misinterpreted.
-func TestVersionedJobRejected(t *testing.T) {
+// TestServerRefusesVersionSkew: a worker answers a skewed client's
+// handshake with its own version, then hangs up without reading or
+// answering a single frame. The handshake is the only version gate, so
+// this pins the server side of it.
+func TestServerRefusesVersionSkew(t *testing.T) {
 	tc := startCluster(t, 1, MasterConfig{})
-	client := NewClient(tc.workers[0].Addr())
-	defer client.Close()
-	pj, _ := json.Marshal(&wire.ScheduleRequest{Problem: paperex.Problem()})
-	payload := (&pb.ScheduleJob{WireVersion: wire.Version + 41, Request: pj, Wait: true}).Marshal()
-	_, err := client.Call(context.Background(), pb.MethodWorkerSchedule, payload)
-	if !errors.Is(err, wire.ErrVersionMismatch) {
-		t.Errorf("future-versioned job: %v, want VERSION_MISMATCH", err)
+	conn, err := net.Dial("tcp", tc.workers[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	bw.WriteString(transportMagic)
+	bw.Write(binary.AppendUvarint(nil, wire.Version+41))
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := readHandshake(br)
+	if err != nil {
+		t.Fatalf("worker sent no handshake to a skewed client: %v", err)
+	}
+	if ver != wire.Version {
+		t.Errorf("worker announced version %d, want %d", ver, wire.Version)
+	}
+	// The worker hangs up unprompted, and a frame sent anyway gets no
+	// reply either.
+	if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after a skewed handshake: %v, want EOF", err)
+	}
+	if err := writeFrame(bw, methodHealth, nil); err == nil {
+		if _, _, err := readFrame(br); !errors.Is(err, io.EOF) {
+			t.Errorf("frame after a skewed handshake: %v, want EOF and no reply", err)
+		}
 	}
 }
 
@@ -413,8 +436,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}()
 	client := NewClient(ln.Addr().String())
 	defer client.Close()
-	_, err = client.Call(context.Background(), pb.MethodWorkerHealth,
-		(&pb.HealthRequest{WireVersion: wire.Version}).Marshal())
+	_, err = client.Call(context.Background(), methodHealth, nil)
 	if !errors.Is(err, wire.ErrVersionMismatch) {
 		t.Errorf("mismatched handshake: %v, want VERSION_MISMATCH", err)
 	}

@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"sync"
 	"time"
 
 	"ftbar/internal/obsv"
 	"ftbar/internal/service"
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // MasterConfig sizes the master.
@@ -189,12 +189,7 @@ func (m *Master) route(ctx context.Context, key string, req *wire.ScheduleReques
 	if err != nil {
 		return nil, wire.Wrap(wire.CodeBadRequest, err)
 	}
-	payload := (&pb.ScheduleJob{
-		WireVersion: wire.Version,
-		ContentKey:  key,
-		Request:     body,
-		Wait:        wait,
-	}).Marshal()
+	payload := withFlag(wait, body)
 
 	candidates := m.registry.Ring().Successors(key, m.registry.Ring().Len())
 	first := true
@@ -207,17 +202,17 @@ func (m *Master) route(ctx context.Context, key string, req *wire.ScheduleReques
 		if client == nil {
 			continue
 		}
-		raw, err := client.Call(ctx, pb.MethodWorkerSchedule, payload)
+		raw, err := client.Call(ctx, methodSchedule, payload)
 		if err == nil {
-			res := new(pb.ScheduleResult)
-			if err := res.Unmarshal(raw); err != nil {
+			cached, doc, err := splitFlag(raw)
+			if err != nil {
 				return nil, wire.Wrap(wire.CodeInternal, err)
 			}
 			resp := new(wire.ScheduleResponse)
-			if err := json.Unmarshal(res.Response, resp); err != nil {
+			if err := json.Unmarshal(doc, resp); err != nil {
 				return nil, wire.Wrap(wire.CodeInternal, err)
 			}
-			return &wire.ScheduleReply{ScheduleResponse: resp, Cached: res.Cached}, nil
+			return &wire.ScheduleReply{ScheduleResponse: resp, Cached: cached}, nil
 		}
 		var we *wire.Error
 		if errors.As(err, &we) {
@@ -260,16 +255,12 @@ func (m *Master) Drain(ctx context.Context, id string, handoff bool) (int, error
 	// Off the ring first: new keys route to successors immediately, and
 	// in-flight coalescing holds duplicates while the tail finishes.
 	m.registry.MarkDraining(id)
-	raw, err := client.Call(ctx, pb.MethodWorkerDrain, (&pb.DrainRequest{Handoff: handoff}).Marshal())
+	snapshot, err := client.Call(ctx, methodDrain, withFlag(handoff, nil))
 	if err != nil {
 		return 0, err
 	}
-	reply := new(pb.DrainReply)
-	if err := reply.Unmarshal(raw); err != nil {
-		return 0, wire.Wrap(wire.CodeInternal, err)
-	}
 	moved := 0
-	if handoff && len(reply.Snapshot) > 0 {
+	if handoff && len(snapshot) > 0 {
 		// The drained worker's vnode intervals collapse onto their ring
 		// successors; installing at the successor of the worker's own ID
 		// position puts the shard where most of its keys now route. The
@@ -278,17 +269,16 @@ func (m *Master) Drain(ctx context.Context, id string, handoff bool) (int, error
 		target := m.registry.Ring().Owner(id)
 		if target != "" && target != id {
 			if tc := m.registry.Client(target); tc != nil {
-				iraw, err := tc.Call(ctx, pb.MethodWorkerInstall,
-					(&pb.InstallRequest{Snapshot: reply.Snapshot}).Marshal())
+				count, err := tc.Call(ctx, methodInstall, snapshot)
 				if err != nil {
 					return 0, err
 				}
-				ir := new(pb.InstallReply)
-				if err := ir.Unmarshal(iraw); err != nil {
-					return 0, wire.Wrap(wire.CodeInternal, err)
+				n, err := strconv.Atoi(string(count))
+				if err != nil || n < 0 {
+					return 0, wire.Errorf(wire.CodeInternal, "cluster: bad install entry count %q", count)
 				}
-				moved = int(ir.Entries)
-				m.handoffMoved.Add(uint64(moved))
+				moved = n
+				m.handoffMoved.Add(uint64(n))
 			}
 		}
 	}
@@ -309,17 +299,13 @@ func (m *Master) Stats() service.Stats {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.StatsTimeout)
-		raw, err := client.Call(ctx, pb.MethodWorkerStats, (&pb.StatsRequest{}).Marshal())
+		raw, err := client.Call(ctx, methodStats, nil)
 		cancel()
 		if err != nil {
 			continue
 		}
-		sr := new(pb.StatsReply)
-		if err := sr.Unmarshal(raw); err != nil {
-			continue
-		}
 		var ws service.Stats
-		if err := json.Unmarshal(sr.Stats, &ws); err != nil {
+		if err := json.Unmarshal(raw, &ws); err != nil {
 			continue
 		}
 		out.QueueDepth += ws.QueueDepth

@@ -5,9 +5,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // MemberState is a worker's health as the master sees it.
@@ -299,11 +296,9 @@ func (g *Registry) probeAll() {
 func (g *Registry) probe(m *member) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	payload := (&pb.HealthRequest{WireVersion: wire.Version}).Marshal()
-	reply, err := m.client.Call(ctx, pb.MethodWorkerHealth, payload)
+	reply, err := m.client.Call(ctx, methodHealth, nil)
 	if err == nil {
-		hr := new(pb.HealthReply)
-		if uerr := hr.Unmarshal(reply); uerr == nil && hr.Status == "draining" {
+		if string(reply) == healthDraining {
 			g.transition(m.id, StateDraining)
 			return
 		}

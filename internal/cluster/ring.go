@@ -3,9 +3,10 @@
 // every request's content address (the same SHA-256 the cache keys on)
 // hashes onto a consistent ring of workers, so one worker owns each
 // problem's cache entry and warm-start arena. Workers are plain
-// standalone services behind a versioned RPC (internal/wire/pb) on a
-// framed TCP transport. The HTTP edge is byte-identical to the
-// standalone service: service.NewHandler serves either engine.
+// standalone services behind a versioned RPC whose frames carry the
+// wire documents as raw bytes (transport.go). The HTTP edge is
+// byte-identical to the standalone service: service.NewHandler serves
+// either engine.
 package cluster
 
 import (

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,25 +12,65 @@ import (
 	"sync"
 	"time"
 
-	"context"
-
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
-// The internal RPC runs protobuf-encoded messages (internal/wire/pb)
-// over a minimal length-prefixed TCP framing. The message layer is the
-// contract — the framing is deliberately small enough that swapping it
-// for gRPC's HTTP/2 transport would change only this file:
+// The internal RPC moves the documents master and workers already
+// produce as raw frame payloads over a minimal length-prefixed TCP
+// framing:
 //
 //	handshake  both sides send magic "FTBW" + uvarint wire version
 //	request    uvarint method | uvarint len | payload
 //	response   uvarint status | uvarint len | payload
 //
-// status 0 carries the method's reply message; status 1 carries a
-// pb.Error, decoded back into a typed *wire.Error on the caller — so
+// The handshake is the single version gate: it covers every frame on
+// its connection, so no payload carries a version of its own. Status 0
+// carries the method's reply payload; status 1 carries a wire.Error as
+// JSON, decoded back into a typed *wire.Error on the caller — so
 // errors.Is classification crosses the boundary. Anything else the
 // caller sees is a transport error, the master's signal to reroute.
+//
+// Payloads per method (DESIGN.md Section 16):
+//
+//	method    request                    reply
+//	schedule  flag (wait) + request JSON flag (cached) + response JSON
+//	health    empty                      "up" or "draining"
+//	stats     empty                      service.Stats JSON
+//	drain     flag (handoff)             snapshot bytes, empty without handoff
+//	install   snapshot bytes             decimal entry count
+//
+// A flag is one byte whose bit 0 is the only defined bit.
+
+// Worker RPC methods; the ids are the request frames' method numbers.
+const (
+	methodSchedule uint64 = 1 + iota
+	methodHealth
+	methodStats
+	methodDrain
+	methodInstall
+)
+
+var methodNames = [...]string{
+	methodSchedule: "schedule",
+	methodHealth:   "health",
+	methodStats:    "stats",
+	methodDrain:    "drain",
+	methodInstall:  "install",
+}
+
+// methodName names a method id for errors and logs.
+func methodName(method uint64) string {
+	if method < uint64(len(methodNames)) && methodNames[method] != "" {
+		return methodNames[method]
+	}
+	return fmt.Sprintf("method %d", method)
+}
+
+// Health reply payloads; a probe reads only this status.
+const (
+	healthUp       = "up"
+	healthDraining = "draining"
+)
 
 // transportMagic leads the handshake in both directions.
 const transportMagic = "FTBW"
@@ -37,6 +79,12 @@ const transportMagic = "FTBW"
 // is the largest legitimate message.
 const maxFrameBytes = 256 << 20
 
+// frameChunk bounds what readFrame allocates before payload bytes arrive
+// and how much it reads per step after: a declared length is only the
+// peer's claim, and trusting it would let a bare header pin
+// maxFrameBytes.
+const frameChunk = 1 << 20
+
 const (
 	statusOK   = 0
 	statusErr  = 1
@@ -44,6 +92,41 @@ const (
 )
 
 var errBadMagic = errors.New("cluster: bad transport magic")
+
+// withFlag prefixes body with a flag byte carrying set in bit 0.
+func withFlag(set bool, body []byte) []byte {
+	out := make([]byte, 1+len(body))
+	if set {
+		out[0] = 1
+	}
+	copy(out[1:], body)
+	return out
+}
+
+// splitFlag reads the flag byte leading payload and returns the flag and
+// the rest; a missing byte or an undefined bit is refused.
+func splitFlag(payload []byte) (bool, []byte, error) {
+	if len(payload) == 0 {
+		return false, nil, errors.New("cluster: missing flag byte")
+	}
+	if payload[0]&^1 != 0 {
+		return false, nil, fmt.Errorf("cluster: unknown flag bits %#02x", payload[0])
+	}
+	return payload[0] == 1, payload[1:], nil
+}
+
+// decodeError rebuilds the typed error an error frame carries. A frame
+// without a code degrades to CodeInternal rather than losing the error.
+func decodeError(method uint64, raw []byte) error {
+	e := new(wire.Error)
+	if err := json.Unmarshal(raw, e); err != nil {
+		return fmt.Errorf("cluster: undecodable error reply for %s: %w", methodName(method), err)
+	}
+	if e.Code == "" {
+		e.Code = wire.CodeInternal
+	}
+	return e
+}
 
 // writeHandshake and readHandshake exchange magic + wire version.
 func writeHandshake(w *bufio.Writer) error {
@@ -97,9 +180,16 @@ func readFrame(r *bufio.Reader) (uint64, []byte, error) {
 	if size > maxFrameBytes {
 		return 0, nil, fmt.Errorf("cluster: frame of %d bytes exceeds limit", size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	// Read in chunks so the buffer only grows as bytes arrive, keeping
+	// memory proportional to what the peer sent; a frame under
+	// frameChunk (every schedule job) is one allocation.
+	payload := make([]byte, 0, min(size, frameChunk))
+	for uint64(len(payload)) < size {
+		step := int(min(size-uint64(len(payload)), frameChunk))
+		payload = append(payload, make([]byte, step)...)
+		if _, err := io.ReadFull(r, payload[len(payload)-step:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	return head, payload, nil
 }
@@ -198,7 +288,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		reply, appErr := s.handler(method, payload)
 		if appErr != nil {
-			if err := writeFrame(bw, statusErr, appErr.PB().Marshal()); err != nil {
+			data, err := json.Marshal(appErr)
+			if err != nil {
+				return
+			}
+			if err := writeFrame(bw, statusErr, data); err != nil {
 				return
 			}
 			continue
@@ -310,12 +404,7 @@ func (c *Client) Call(ctx context.Context, method uint64, payload []byte) ([]byt
 		return reply, nil
 	case statusErr:
 		c.put(cc)
-		perr := new(pb.Error)
-		if err := perr.Unmarshal(reply); err != nil {
-			return nil, fmt.Errorf("cluster: undecodable error reply for %s: %w",
-				pb.WorkerMethodName(method), err)
-		}
-		return nil, wire.ErrorFromPB(perr)
+		return nil, decodeError(method, reply)
 	default:
 		cc.conn.Close()
 		return nil, fmt.Errorf("cluster: unknown response status %d", status)

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"ftbar/internal/service"
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // typed coerces an error into the RPC's structured form: an error that
@@ -73,19 +73,19 @@ func (w *Worker) Close() {
 	}
 }
 
-// handle dispatches one RPC (see internal/wire/pb/ftbar.proto for the
-// service definition).
+// handle dispatches one RPC; the payload layouts are tabled at the top
+// of transport.go. Every refusal is a typed *wire.Error.
 func (w *Worker) handle(method uint64, payload []byte) ([]byte, *wire.Error) {
 	switch method {
-	case pb.MethodWorkerSchedule:
+	case methodSchedule:
 		return w.handleSchedule(payload)
-	case pb.MethodWorkerHealth:
+	case methodHealth:
 		return w.handleHealth(payload)
-	case pb.MethodWorkerStats:
-		return w.handleStats()
-	case pb.MethodWorkerDrain:
+	case methodStats:
+		return w.handleStats(payload)
+	case methodDrain:
 		return w.handleDrain(payload)
-	case pb.MethodWorkerInstall:
+	case methodInstall:
 		return w.handleInstall(payload)
 	default:
 		return nil, &wire.Error{Code: wire.CodeBadRequest,
@@ -94,25 +94,21 @@ func (w *Worker) handle(method uint64, payload []byte) ([]byte, *wire.Error) {
 }
 
 func (w *Worker) handleSchedule(payload []byte) ([]byte, *wire.Error) {
-	job := new(pb.ScheduleJob)
-	if err := job.Unmarshal(payload); err != nil {
+	wait, body, err := splitFlag(payload)
+	if err != nil {
 		return nil, typed(wire.CodeBadRequest, err)
-	}
-	if job.WireVersion != wire.Version {
-		return nil, wire.ErrVersionMismatch.WithField("job_version", fmt.Sprint(job.WireVersion))
 	}
 	if w.draining.Load() {
 		return nil, wire.ErrDraining.WithField("worker", w.id)
 	}
 	var req wire.ScheduleRequest
-	if err := json.Unmarshal(job.Request, &req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, typed(wire.CodeBadRequest, err)
 	}
 	w.inFlight.Add(1)
 	defer w.inFlight.Add(-1)
 	var reply *wire.ScheduleReply
-	var err error
-	if job.Wait {
+	if wait {
 		reply, err = w.svc.Schedule(context.Background(), &req)
 	} else {
 		reply, err = w.svc.TrySchedule(context.Background(), &req)
@@ -124,38 +120,37 @@ func (w *Worker) handleSchedule(payload []byte) ([]byte, *wire.Error) {
 	if err != nil {
 		return nil, typed(wire.CodeInternal, err)
 	}
-	return (&pb.ScheduleResult{Response: data, Cached: reply.Cached}).Marshal(), nil
+	return withFlag(reply.Cached, data), nil
+}
+
+// requireEmpty refuses a payload on a method that takes none.
+func requireEmpty(method uint64, payload []byte) *wire.Error {
+	if len(payload) == 0 {
+		return nil
+	}
+	return wire.Errorf(wire.CodeBadRequest,
+		"cluster: %s takes an empty payload, got %d bytes", methodName(method), len(payload))
 }
 
 func (w *Worker) handleHealth(payload []byte) ([]byte, *wire.Error) {
-	req := new(pb.HealthRequest)
-	if err := req.Unmarshal(payload); err != nil {
-		return nil, typed(wire.CodeBadRequest, err)
+	if err := requireEmpty(methodHealth, payload); err != nil {
+		return nil, err
 	}
-	if req.WireVersion != wire.Version {
-		return nil, wire.ErrVersionMismatch.WithField("probe_version", fmt.Sprint(req.WireVersion))
-	}
-	status := "up"
 	if w.draining.Load() {
-		status = "draining"
+		return []byte(healthDraining), nil
 	}
-	st := w.svc.Stats()
-	return (&pb.HealthReply{
-		WorkerId:      w.id,
-		Status:        status,
-		WireVersion:   wire.Version,
-		InFlight:      uint64(w.inFlight.Load()),
-		CacheEntries:  uint64(st.CacheEntries),
-		SchedulerRuns: st.SchedulerRuns,
-	}).Marshal(), nil
+	return []byte(healthUp), nil
 }
 
-func (w *Worker) handleStats() ([]byte, *wire.Error) {
+func (w *Worker) handleStats(payload []byte) ([]byte, *wire.Error) {
+	if err := requireEmpty(methodStats, payload); err != nil {
+		return nil, err
+	}
 	data, err := json.Marshal(w.svc.Stats())
 	if err != nil {
 		return nil, typed(wire.CodeInternal, err)
 	}
-	return (&pb.StatsReply{Stats: data}).Marshal(), nil
+	return data, nil
 }
 
 // drainSettle bounds how long a drain waits for in-flight schedules to
@@ -164,8 +159,11 @@ func (w *Worker) handleStats() ([]byte, *wire.Error) {
 const drainSettle = 10 * time.Second
 
 func (w *Worker) handleDrain(payload []byte) ([]byte, *wire.Error) {
-	req := new(pb.DrainRequest)
-	if err := req.Unmarshal(payload); err != nil {
+	handoff, rest, err := splitFlag(payload)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("cluster: drain takes only a flag byte, got %d more", len(rest))
+	}
+	if err != nil {
 		return nil, typed(wire.CodeBadRequest, err)
 	}
 	// Flip to draining first: new Schedule RPCs bounce with DRAINING and
@@ -175,25 +173,20 @@ func (w *Worker) handleDrain(payload []byte) ([]byte, *wire.Error) {
 	for w.inFlight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	reply := &pb.DrainReply{Entries: uint64(w.svc.Stats().CacheEntries)}
-	if req.Handoff {
-		snap, err := w.svc.SnapshotBytes()
-		if err != nil {
-			return nil, typed(wire.CodeInternal, err)
-		}
-		reply.Snapshot = snap
+	if !handoff {
+		return nil, nil
 	}
-	return reply.Marshal(), nil
+	snap, err := w.svc.SnapshotBytes()
+	if err != nil {
+		return nil, typed(wire.CodeInternal, err)
+	}
+	return snap, nil
 }
 
 func (w *Worker) handleInstall(payload []byte) ([]byte, *wire.Error) {
-	req := new(pb.InstallRequest)
-	if err := req.Unmarshal(payload); err != nil {
-		return nil, typed(wire.CodeBadRequest, err)
-	}
-	n, err := w.svc.RestoreBytes(req.Snapshot)
+	n, err := w.svc.RestoreBytes(payload)
 	if err != nil {
 		return nil, typed(wire.CodeBadRequest, err)
 	}
-	return (&pb.InstallReply{Entries: uint64(n)}).Marshal(), nil
+	return strconv.AppendInt(nil, int64(n), 10), nil
 }
