@@ -223,7 +223,7 @@ func clusterCell(cfg ClusterConfig, workers int, workload string, killAfter int)
 		}(w)
 	}
 
-	opts := service.RequestOptions{PreviewWorkers: 1}
+	opts := wire.RequestOptions{PreviewWorkers: 1}
 	lat := make([]float64, cfg.Requests)
 	var next, completed, failures int64 = -1, 0, 0
 	var killed atomic.Bool

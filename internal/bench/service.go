@@ -14,6 +14,7 @@ import (
 	"ftbar/internal/gen"
 	"ftbar/internal/service"
 	"ftbar/internal/spec"
+	"ftbar/internal/wire"
 )
 
 // ServiceConfig parameterises the service load experiment: an in-process
@@ -137,7 +138,7 @@ func serviceCell(cfg ServiceConfig, workers int, workload string, distinct int) 
 
 	// PreviewWorkers=1 keeps each scheduling run single-threaded so the
 	// cell measures pool scaling, not the engine's internal parallelism.
-	opts := service.RequestOptions{PreviewWorkers: 1}
+	opts := wire.RequestOptions{PreviewWorkers: 1}
 	lat := make([]float64, cfg.Requests)
 	errs := make([]error, cfg.Clients)
 	var next int64 = -1
@@ -153,7 +154,7 @@ func serviceCell(cfg ServiceConfig, workers int, workload string, distinct int) 
 				}
 				// Clone per request: each arrives as its own decoded
 				// problem, like distinct HTTP clients.
-				req := &service.ScheduleRequest{Problem: problems[i%distinct].Clone(), Options: opts}
+				req := &wire.ScheduleRequest{Problem: problems[i%distinct].Clone(), Options: opts}
 				t0 := time.Now()
 				if _, err := svc.Schedule(context.Background(), req); err != nil {
 					errs[c] = err

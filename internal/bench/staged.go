@@ -15,6 +15,7 @@ import (
 	"ftbar/internal/gen"
 	"ftbar/internal/service"
 	"ftbar/internal/spec"
+	"ftbar/internal/wire"
 )
 
 // StageSpec is one stage of the staged service experiment, the JSON
@@ -138,7 +139,7 @@ func StagedService(cfg StagedConfig) (*StagedReport, error) {
 		}
 		repeated[i] = p
 	}
-	opts := service.RequestOptions{PreviewWorkers: 1}
+	opts := wire.RequestOptions{PreviewWorkers: 1}
 
 	calMs, err := stagedCalibration(cfg, problem, opts)
 	if err != nil {
@@ -184,13 +185,13 @@ func StagedService(cfg StagedConfig) (*StagedReport, error) {
 			p = repeated[iter%cfg.Distinct].Clone()
 		}
 		t0 := time.Now()
-		reply, reqErr := svc.TrySchedule(ctx, &service.ScheduleRequest{Problem: p, Options: opts})
+		reply, reqErr := svc.TrySchedule(ctx, &wire.ScheduleRequest{Problem: p, Options: opts})
 		ms := float64(time.Since(t0).Nanoseconds()) / 1e6
 		acc := accs[stage]
 		acc.mu.Lock()
 		defer acc.mu.Unlock()
 		switch {
-		case errors.Is(reqErr, service.ErrOverloaded):
+		case errors.Is(reqErr, wire.ErrOverloaded):
 			acc.rejected++
 		case reqErr != nil:
 			if acc.err == nil {
@@ -240,7 +241,7 @@ func StagedService(cfg StagedConfig) (*StagedReport, error) {
 // warmup (cold caches, allocator growth) and are discarded — the median
 // of the rest is the per-machine time unit the stage tails are gated in.
 func stagedCalibration(cfg StagedConfig, problem func(int64) (*spec.Problem, error),
-	opts service.RequestOptions) (float64, error) {
+	opts wire.RequestOptions) (float64, error) {
 	const warmup = 4
 	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()
@@ -252,7 +253,7 @@ func stagedCalibration(cfg StagedConfig, problem func(int64) (*spec.Problem, err
 		}
 		t0 := time.Now()
 		if _, err := svc.Schedule(context.Background(),
-			&service.ScheduleRequest{Problem: p, Options: opts}); err != nil {
+			&wire.ScheduleRequest{Problem: p, Options: opts}); err != nil {
 			return 0, err
 		}
 		if i >= warmup {

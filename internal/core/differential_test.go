@@ -5,8 +5,9 @@ package core
 // previews) must reproduce the reference engine's decision log bit for
 // bit, and both schedules must pass full structural validation. The
 // property is exercised on the paper's worked example, a register
-// (mem) feedback loop, and seeded random problems across every
-// topology and Npf 0..2 (DESIGN.md Section 8).
+// (mem) feedback loop, seeded random problems across every topology
+// and Npf 0..2, and the structured task-graph families (DESIGN.md
+// Section 8).
 
 import (
 	"math"
@@ -140,6 +141,38 @@ func TestDifferentialRandomProblems(t *testing.T) {
 	}
 	if problems < 50 {
 		t.Fatalf("property sweep covers %d problems, want at least 50", problems)
+	}
+}
+
+// TestDifferentialStructuredFamilies runs both engines over the
+// structured task-graph families (fork-join, matmul, periodic chain),
+// including the full-topology chain population at Npf = 2 that the
+// scenario corpus schedules (testdata/scenarios/full4-chain-20.json,
+// seeds 2300..2304), with and without a medium budget.
+func TestDifferentialStructuredFamilies(t *testing.T) {
+	cases := []struct {
+		name   string
+		params gen.Params
+		seeds  int
+	}{
+		{"full4-chain-20", gen.Params{N: 20, CCR: 1, Procs: 4, Family: gen.FamChain, Width: 4, Npf: 2, Seed: 2300}, 5},
+		{"full4-matmul", gen.Params{N: 30, CCR: 1, Procs: 4, Family: gen.FamMatmul, Width: 3, Npf: 1, Seed: 2000}, 3},
+		{"full4-forkjoin", gen.Params{N: 18, CCR: 2, Procs: 4, Family: gen.FamForkJoin, Width: 3, Npf: 2, Seed: 2600}, 3},
+		{"ring4-forkjoin", gen.Params{N: 18, CCR: 1, Procs: 4, Topology: gen.TopoRing, Family: gen.FamForkJoin, Width: 3, Npf: 1, Nmf: 1, Seed: 2200}, 3},
+		{"dualbus4-chain", gen.Params{N: 20, CCR: 1, Procs: 4, Topology: gen.TopoDualBus, Family: gen.FamChain, Width: 4, Npf: 1, Nmf: 1, Seed: 2100}, 3},
+	}
+	for _, c := range cases {
+		for i := 0; i < c.seeds; i++ {
+			params := c.params
+			params.Seed += int64(i)
+			p, err := gen.Generate(params)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, params.Seed, err)
+			}
+			t.Run(c.name, func(t *testing.T) {
+				assertEnginesAgree(t, p, Options{})
+			})
+		}
 	}
 }
 

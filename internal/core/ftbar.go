@@ -63,8 +63,10 @@ type Options struct {
 	// paper's calibration excludes them (see the package comment); this
 	// knob exists for the ablation benchmarks.
 	TailsWithComms bool
-	// Engine selects the scheduling engine; the incremental engine is the
-	// default and produces identical results to the reference engine.
+	// Engine selects the scheduling engine. Every production path runs
+	// the default incremental engine; EngineReference, which produces
+	// identical results, serves the differential tests and the scaling
+	// benchmark as an oracle.
 	Engine Engine
 	// PreviewWorkers bounds the worker pool the incremental engine uses
 	// for cold pressure previews. 0 picks GOMAXPROCS capped at 8; 1
@@ -78,13 +80,6 @@ type Options struct {
 	// round is provably identical — so this knob exists for debugging
 	// and the engine benchmarks.
 	NoBatchCommits bool
-	// LegacyPlanner disables the joint fault model's planner extensions
-	// (DESIGN.md Section 12) — the relay-processor-aware fan costs and
-	// the crash-separated replica placement — and reproduces the
-	// relay-blind behaviour of Section 11. The combined benchmark uses
-	// it as the baseline it prices the joint planner against; with
-	// Nmf = 0 it changes nothing (neither extension is consulted).
-	LegacyPlanner bool
 }
 
 // Step records one scheduling decision for inspection, tests and the
@@ -193,9 +188,6 @@ func Run(p *spec.Problem, opts Options) (*Result, error) {
 // engine (the reference engine's clone-and-swap speculation escapes the
 // media-touch mask, see sched.MediaTouched).
 func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec *RunRecord) (*Result, error) {
-	if opts.LegacyPlanner {
-		s.SetRelayAware(false)
-	}
 	tg := s.Tasks()
 	sch := &scheduler{
 		s:     s,
@@ -206,7 +198,7 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		tails: Tails(p, tg, opts.TailsWithComms),
 		done:  make([]bool, tg.NumTasks()),
 	}
-	if sch.fm.Nmf > 0 && !opts.LegacyPlanner {
+	if sch.fm.Nmf > 0 {
 		// Crash-separated replica placement (DESIGN.md Section 12): under
 		// a combined budget, prefer replica sets no single in-budget
 		// (processor, medium) crash can wipe out or strand.
@@ -360,8 +352,7 @@ type scheduler struct {
 	rq    *readyQueue
 	cache *sigmaCache
 	// vuln is the PairCutMatrix of the architecture when the
-	// crash-separated placement bias is active (Nmf >= 1 and not
-	// LegacyPlanner), nil otherwise.
+	// crash-separated placement bias is active (Nmf >= 1), nil otherwise.
 	vuln [][]bool
 	// evals records, per task id, how the last round priced the
 	// candidate (batch.go); nil under the crash-separated bias, whose

@@ -57,8 +57,7 @@ type PlaceRec struct {
 // standing invariant (enforced by the differential suite) is that they
 // never change the decision log, only the work profile.
 func optionsKey(opts Options) string {
-	return fmt.Sprintf("nodup=%t|tails=%t|legacy=%t",
-		opts.NoDuplication, opts.TailsWithComms, opts.LegacyPlanner)
+	return fmt.Sprintf("nodup=%t|tails=%t", opts.NoDuplication, opts.TailsWithComms)
 }
 
 // recordable reports whether runs under opts may be recorded and warm

@@ -84,8 +84,7 @@ func TestLegacySpecAccepted(t *testing.T) {
 		t.Errorf("legacy params = %s/%s, want full/layered",
 			params.Topology, params.Family)
 	}
-	opts, err := s.CoreOptions()
-	if err != nil || opts.LegacyPlanner || opts.NoDuplication {
-		t.Errorf("legacy options = %+v, %v", opts, err)
+	if opts := s.CoreOptions(); opts.NoDuplication {
+		t.Errorf("legacy options = %+v", opts)
 	}
 }

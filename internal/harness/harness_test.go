@@ -85,7 +85,6 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"no graphs":     `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "floors": {"validated_rate": 0}}`,
 		"bad topology":  `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "topology": "moebius", "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}}`,
 		"bad family":    `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "family": "spaghetti", "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}}`,
-		"bad engine":    `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "options": {"engine": "quantum"}, "floors": {"validated_rate": 0}}`,
 		"floor above 1": `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 1.5}}`,
 		"bad ceiling":   `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}, "makespan_ceiling": -1}`,
 		"ungeneratable": `{"version": 1, "name": "x", "gen": {"n": 0, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}}`,
@@ -94,6 +93,16 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 	for label, doc := range cases {
 		if _, err := Parse(strings.NewReader(doc)); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("%s: error = %v, want ErrBadSpec", label, err)
+		}
+	}
+	// The retired planner selectors are unknown fields now, refused by
+	// name rather than silently ignored.
+	for field, value := range map[string]string{"engine": `"reference"`, "legacy_planner": "true"} {
+		doc := `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "options": {"` +
+			field + `": ` + value + `}, "floors": {"validated_rate": 0}}`
+		_, err := Parse(strings.NewReader(doc))
+		if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("%s: error = %v, want ErrBadSpec naming the field", field, err)
 		}
 	}
 }
@@ -142,30 +151,5 @@ func TestLoadDirRejectsDuplicates(t *testing.T) {
 	}
 	if _, err := LoadDir(dir); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("duplicate names error = %v, want ErrBadSpec", err)
-	}
-}
-
-// TestRunRespectsEngineOption runs one tiny scenario under both engines
-// and expects identical outcomes (the engines share the decision path).
-func TestRunRespectsEngineOption(t *testing.T) {
-	base := Spec{
-		Version: 1, Name: "eng",
-		Gen:    GenSpec{N: 10, CCR: 1, Procs: 4, Npf: 1, Seed: 77},
-		Graphs: 2,
-	}
-	inc := base
-	ref := base
-	ref.Options.Engine = "reference"
-	a, err := Run(&inc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(&ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Name, b.Name = "", ""
-	if *a != *b {
-		t.Errorf("engines disagree: incremental %+v, reference %+v", a, b)
 	}
 }

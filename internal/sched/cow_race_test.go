@@ -1,9 +1,9 @@
 package sched
 
-// Race coverage for the copy-on-write route and fan stores: a clone
-// family shares one routeStore and one fanStore, warm lookups go through
-// an atomic pointer with no lock, and cold fills publish a fresh map under
-// the fill mutex. The incremental engine's preview fan-out exercises
+// Race coverage for the shared route and fan stores: a clone family
+// shares one routeStore and one fanStore, warm lookups go through an
+// atomic pointer with no lock, and cold fills publish under the fill
+// mutex (a per-edge table, or a fresh copy-on-write fan map). The incremental engine's preview fan-out exercises
 // exactly this — concurrent previews over sibling clones, some hitting
 // warm entries while others fill cold ones — so this test reproduces it
 // under the race detector (run via `go test -race`, as the CI race step

@@ -76,7 +76,7 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 	s := &Schedule{
 		problem:      p,
 		tasks:        tasks,
-		routes:       new(routeStore),
+		routes:       newRouteStore(p.Alg.NumEdges()),
 		fans:         newFanStore(),
 		faults:       p.FaultModel(),
 		procEnd:      zeroFloats(donor.procEnd),

@@ -74,45 +74,35 @@ type Comm struct {
 
 // routeStore caches one weighted routing table per data-dependency,
 // consulted only when no direct medium carries the dependency. The cache
-// is deterministic, append-only and shared across a clone family; entries
-// are published copy-on-write through an atomic pointer, so warm lookups
-// from concurrent previews never take a lock and the fill lock covers only
-// the rare cold computations.
+// is deterministic, append-only and shared across a clone family; each
+// edge's table is published through its own atomic pointer, so warm
+// lookups from concurrent previews never take a lock and the fill lock
+// covers only the rare cold computations.
 type routeStore struct {
 	mu     sync.Mutex
-	tables atomic.Pointer[map[model.EdgeID]*arch.RouteTable]
+	tables []atomic.Pointer[arch.RouteTable] // indexed by model.EdgeID
+}
+
+func newRouteStore(nEdges int) *routeStore {
+	return &routeStore{tables: make([]atomic.Pointer[arch.RouteTable], nEdges)}
 }
 
 func (rs *routeStore) get(edge model.EdgeID) (*arch.RouteTable, bool) {
-	if m := rs.tables.Load(); m != nil {
-		rt, ok := (*m)[edge]
-		return rt, ok
-	}
-	return nil, false
+	rt := rs.tables[edge].Load()
+	return rt, rt != nil
 }
 
 func (rs *routeStore) fill(edge model.EdgeID, p *spec.Problem) (*arch.RouteTable, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	old := rs.tables.Load()
-	if old != nil {
-		if rt, ok := (*old)[edge]; ok {
-			return rt, nil
-		}
+	if rt := rs.tables[edge].Load(); rt != nil {
+		return rt, nil
 	}
 	rt, err := p.EdgeRoutes(edge)
 	if err != nil {
 		return nil, err
 	}
-	next := make(map[model.EdgeID]*arch.RouteTable, 1)
-	if old != nil {
-		next = make(map[model.EdgeID]*arch.RouteTable, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[edge] = rt
-	rs.tables.Store(&next)
+	rs.tables[edge].Store(rt)
 	return rt, nil
 }
 
@@ -197,11 +187,6 @@ type Schedule struct {
 	routes  *routeStore
 	fans    *fanStore
 	faults  spec.FaultModel
-	// relayBlind disables the relay-processor-aware fan costs (DESIGN.md
-	// Section 12) and reproduces the relay-blind route choice of the plain
-	// disjoint fan. The combined benchmark flips it to price the
-	// relay-aware packing; the zero value (relay-aware) is the default.
-	relayBlind bool
 
 	// directMedia[p*nProcs+q] lists the media directly connecting p and q,
 	// precomputed so the planning hot path never allocates. Immutable and
@@ -264,7 +249,7 @@ func NewSchedule(p *spec.Problem) (*Schedule, error) {
 	s := &Schedule{
 		problem:      p,
 		tasks:        tasks,
-		routes:       new(routeStore),
+		routes:       newRouteStore(p.Alg.NumEdges()),
 		fans:         newFanStore(),
 		faults:       p.FaultModel(),
 		directMedia:  direct,
@@ -292,7 +277,7 @@ func (s *Schedule) nextStamp() uint64 {
 // routeFor returns the weighted route of edge from processor p to q,
 // computing and caching the edge's routing table on first use. Safe for
 // concurrent previews: warm lookups are lock-free against the published
-// map, cold fills are serialised in the store.
+// tables, cold fills are serialised in the store.
 func (s *Schedule) routeFor(edge model.EdgeID, p, q arch.ProcID) (arch.Route, error) {
 	rt, ok := s.routes.get(edge)
 	if !ok {
@@ -334,16 +319,6 @@ func (s *Schedule) fanFor(edge model.EdgeID, srcs []arch.ProcID, dst arch.ProcID
 	}
 	return s.fans.fill(key, srcs, s.problem)
 }
-
-// SetRelayAware toggles the relay-processor-aware fan costs of Section 12
-// (on by default). Disabling reproduces the relay-blind disjoint fan of
-// Section 11 bit for bit; the combined benchmark uses it as the planner
-// baseline. Toggle before placing replicas — flipping mid-build mixes the
-// two route policies.
-func (s *Schedule) SetRelayAware(on bool) { s.relayBlind = !on }
-
-// RelayAware reports whether relay-processor-aware fan costs are active.
-func (s *Schedule) RelayAware() bool { return !s.relayBlind }
 
 // replicaProcMask returns the bitmask of processors hosting a replica of
 // t (processors beyond 63 are not representable and left out; the fan
@@ -510,7 +485,7 @@ func (s *Schedule) MeetsRtc() (bool, error) {
 // (FTBAR duplicates predecessors tentatively and must undo on regression).
 // With the slab this is a fixed number of contiguous column copies,
 // independent of how many replicas and comms the schedule holds; the route
-// and fan stores are shared with the family, copy-on-write.
+// and fan stores are shared with the family.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{
 		problem:      s.problem,
@@ -518,7 +493,6 @@ func (s *Schedule) Clone() *Schedule {
 		routes:       s.routes,
 		fans:         s.fans,
 		faults:       s.faults,
-		relayBlind:   s.relayBlind,
 		directMedia:  s.directMedia,
 		scratch:      s.scratch,
 		procEnd:      append([]float64(nil), s.procEnd...),

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ftbar/internal/wire"
 )
 
 // TestServiceWarmStarts pins the arena value story inside the service:
@@ -18,15 +21,15 @@ func TestServiceWarmStarts(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	p := genProblem(t, 7)
-	cold, err := s.Schedule(context.Background(), &ScheduleRequest{Problem: p})
+	cold, err := s.Schedule(context.Background(), &wire.ScheduleRequest{Problem: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.planner.warmStarts.Value(); got != 0 {
 		t.Fatalf("first run warm-started (%d), want a cold search", got)
 	}
-	warm, err := s.Schedule(context.Background(), &ScheduleRequest{
-		Problem: p, Include: Include{Stats: true},
+	warm, err := s.Schedule(context.Background(), &wire.ScheduleRequest{
+		Problem: p, Include: wire.Include{Stats: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +57,8 @@ func TestServiceArenaDisabled(t *testing.T) {
 	s := New(Config{Workers: 1, ArenaSize: -1})
 	defer s.Close()
 	p := genProblem(t, 8)
-	for _, inc := range []Include{{}, {Stats: true}, {Gantt: true}} {
-		if _, err := s.Schedule(context.Background(), &ScheduleRequest{Problem: p, Include: inc}); err != nil {
+	for _, inc := range []wire.Include{{}, {Stats: true}, {Gantt: true}} {
+		if _, err := s.Schedule(context.Background(), &wire.ScheduleRequest{Problem: p, Include: inc}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +71,7 @@ func TestServiceArenaDisabled(t *testing.T) {
 }
 
 // TestPersistCarriesWarmStartLogs is the restart round trip for the
-// version 3 snapshot: decision records saved alongside the cache let the
+// snapshot's decision records: records saved alongside the cache let the
 // restarted service replay — not re-search — a problem it has seen, even
 // when the request misses the response cache.
 func TestPersistCarriesWarmStartLogs(t *testing.T) {
@@ -76,7 +79,7 @@ func TestPersistCarriesWarmStartLogs(t *testing.T) {
 	p := genProblem(t, 9)
 
 	first := New(Config{Workers: 1})
-	if _, err := first.Schedule(context.Background(), &ScheduleRequest{Problem: p}); err != nil {
+	if _, err := first.Schedule(context.Background(), &wire.ScheduleRequest{Problem: p}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.SaveCacheFile(path); err != nil {
@@ -95,8 +98,8 @@ func TestPersistCarriesWarmStartLogs(t *testing.T) {
 	// Different Include flags: a response-cache miss, so the scheduler
 	// runs — from the restored log. Regenerate the problem so the content
 	// key is recomputed the way a wire request would compute it.
-	reply, err := second.Schedule(context.Background(), &ScheduleRequest{
-		Problem: genProblem(t, 9), Include: Include{Stats: true},
+	reply, err := second.Schedule(context.Background(), &wire.ScheduleRequest{
+		Problem: genProblem(t, 9), Include: wire.Include{Stats: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +112,18 @@ func TestPersistCarriesWarmStartLogs(t *testing.T) {
 	}
 }
 
-// TestLoadVersion2SnapshotEntriesOnly pins backward compatibility: a
-// version 2 file (no Records field) still restores its cache entries;
-// the arenas just start cold. Version 1 stays rejected.
-func TestLoadVersion2SnapshotEntriesOnly(t *testing.T) {
+// TestLoadSnapshotWithoutRecordsEntriesOnly pins the snapshot version
+// gate. A snapshot saves as version 4, and one without a Records field
+// still restores its cache entries; the arenas just start cold. The same
+// snapshot relabelled with an older version is refused and restores
+// nothing: versions 2 and 3 keyed responses by an engine name and
+// records by the relay-blind planner flag, so none of their keys could
+// match a current request, and version 1 predates the joint planner.
+func TestLoadSnapshotWithoutRecordsEntriesOnly(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.json")
 	first := New(Config{Workers: 1})
-	req := &ScheduleRequest{Problem: genProblem(t, 10)}
+	req := &wire.ScheduleRequest{Problem: genProblem(t, 10)}
 	if _, err := first.Schedule(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,6 @@ func TestLoadVersion2SnapshotEntriesOnly(t *testing.T) {
 	}
 	first.Close()
 
-	// Rewrite the snapshot as an old service would have written it.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -134,26 +140,35 @@ func TestLoadVersion2SnapshotEntriesOnly(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	snap.Version, snap.Records = 2, nil
-	data, err = json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
+	if snap.Version != 4 {
+		t.Fatalf("saved snapshot version %d, want 4", snap.Version)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	write := func(name string) string {
+		t.Helper()
+		out, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
+	snap.Records = nil
+	entriesOnly := write("entries.json")
 
 	second := New(Config{Workers: 1})
 	defer second.Close()
-	n, err := second.LoadCacheFile(path)
+	n, err := second.LoadCacheFile(entriesOnly)
 	if err != nil {
-		t.Fatalf("version 2 snapshot rejected: %v", err)
+		t.Fatalf("snapshot without records rejected: %v", err)
 	}
 	if n != 1 {
-		t.Errorf("restored %d entries from the version 2 snapshot, want 1", n)
+		t.Errorf("restored %d entries from the snapshot without records, want 1", n)
 	}
 	if got := second.arenas.records(); got != 0 {
-		t.Errorf("version 2 snapshot restored %d warm-start records", got)
+		t.Errorf("snapshot without records restored %d warm-start records", got)
 	}
 	reply, err := second.Schedule(context.Background(), req)
 	if err != nil {
@@ -163,11 +178,16 @@ func TestLoadVersion2SnapshotEntriesOnly(t *testing.T) {
 		t.Error("restored entry not served as a cache hit")
 	}
 
-	v1 := filepath.Join(dir, "v1.json")
-	if err := os.WriteFile(v1, []byte(`{"version": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := second.LoadCacheFile(v1); err == nil {
-		t.Error("version 1 snapshot loaded without error")
+	for _, old := range []int{3, 2, 1} {
+		snap.Version = old
+		path := write(fmt.Sprintf("v%d.json", old))
+		cold := New(Config{Workers: 1})
+		if _, err := cold.LoadCacheFile(path); err == nil {
+			t.Errorf("version %d snapshot loaded without error", old)
+		}
+		if got := cold.Stats().CacheEntries; got != 0 {
+			t.Errorf("refused version %d snapshot left %d entries behind", old, got)
+		}
+		cold.Close()
 	}
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"container/list"
 	"sync"
+
+	"ftbar/internal/wire"
 )
 
 // entry is one content-addressed cache slot. It is created the moment the
@@ -13,7 +15,7 @@ import (
 type entry struct {
 	key   string
 	ready chan struct{}
-	resp  *ScheduleResponse
+	resp  *wire.ScheduleResponse
 	err   error
 	// abandoned marks an entry whose owner never got the job admitted
 	// (queue full, owner's context, service closed). The failure is the
@@ -60,7 +62,7 @@ func (c *cache) acquire(key string) (*entry, bool) {
 // complete publishes the owner's result. Successful responses are
 // retained under the LRU policy; failed computations are dropped so a
 // later identical request retries.
-func (c *cache) complete(e *entry, resp *ScheduleResponse, err error) {
+func (c *cache) complete(e *entry, resp *wire.ScheduleResponse, err error) {
 	c.mu.Lock()
 	e.resp, e.err = resp, err
 	if err != nil || c.max <= 0 {

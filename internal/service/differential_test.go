@@ -13,10 +13,11 @@ import (
 	"ftbar/internal/gen"
 	"ftbar/internal/paperex"
 	"ftbar/internal/spec"
+	"ftbar/internal/wire"
 )
 
 // postSchedule drives the real HTTP surface and returns the decoded reply.
-func postSchedule(t *testing.T, url string, req *ScheduleRequest) *ScheduleReply {
+func postSchedule(t *testing.T, url string, req *wire.ScheduleRequest) *wire.ScheduleReply {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -30,7 +31,7 @@ func postSchedule(t *testing.T, url string, req *ScheduleRequest) *ScheduleReply
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/schedule: status %d", resp.StatusCode)
 	}
-	var reply ScheduleReply
+	var reply wire.ScheduleReply
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestDifferentialAgainstCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply := postSchedule(t, srv.URL, &ScheduleRequest{Problem: p})
+		reply := postSchedule(t, srv.URL, &wire.ScheduleRequest{Problem: p})
 		// The HTTP encoder pretty-prints; compact back to the canonical
 		// form before the bit-identity check.
 		var got bytes.Buffer
@@ -84,7 +85,7 @@ func TestDifferentialAgainstCore(t *testing.T) {
 		}
 	}
 	// The worked example's calibrated length survives the wire.
-	reply := postSchedule(t, srv.URL, &ScheduleRequest{Problem: paperex.Problem()})
+	reply := postSchedule(t, srv.URL, &wire.ScheduleRequest{Problem: paperex.Problem()})
 	if math.Abs(reply.Length-13.05) > 1e-9 {
 		t.Errorf("paper example length over HTTP = %g, want 13.05", reply.Length)
 	}
@@ -112,7 +113,7 @@ func TestHTTPSurface(t *testing.T) {
 	})
 
 	t.Run("stats", func(t *testing.T) {
-		postSchedule(t, srv.URL, &ScheduleRequest{Problem: paperex.Problem(), Include: Include{Gantt: true, Stats: true, Sweep: true}})
+		postSchedule(t, srv.URL, &wire.ScheduleRequest{Problem: paperex.Problem(), Include: wire.Include{Gantt: true, Stats: true, Sweep: true}})
 		resp, err := http.Get(srv.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
@@ -128,9 +129,9 @@ func TestHTTPSurface(t *testing.T) {
 	})
 
 	t.Run("batch", func(t *testing.T) {
-		var breq BatchRequest
+		var breq wire.BatchRequest
 		for i := 0; i < 3; i++ {
-			breq.Requests = append(breq.Requests, ScheduleRequest{Problem: paperex.Problem()})
+			breq.Requests = append(breq.Requests, wire.ScheduleRequest{Problem: paperex.Problem()})
 		}
 		body, _ := json.Marshal(&breq)
 		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
@@ -138,7 +139,7 @@ func TestHTTPSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var bresp BatchResponse
+		var bresp wire.BatchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&bresp); err != nil {
 			t.Fatal(err)
 		}
@@ -153,13 +154,13 @@ func TestHTTPSurface(t *testing.T) {
 	})
 
 	t.Run("sweep", func(t *testing.T) {
-		body, _ := json.Marshal(&SweepRequest{Problem: paperex.Problem(), Npfs: []int{0, 1}})
+		body, _ := json.Marshal(&wire.SweepRequest{Problem: paperex.Problem(), Npfs: []int{0, 1}})
 		resp, err := http.Post(srv.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var sresp SweepResponse
+		var sresp wire.SweepResponse
 		if err := json.NewDecoder(resp.Body).Decode(&sresp); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestHTTPSurface(t *testing.T) {
 	t.Run("unschedulable is 422", func(t *testing.T) {
 		p := genProblem(t, 1)
 		p.Npf = 5
-		body, _ := json.Marshal(&ScheduleRequest{Problem: p})
+		body, _ := json.Marshal(&wire.ScheduleRequest{Problem: p})
 		resp, err := http.Post(srv.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +226,7 @@ func TestHTTPSurface(t *testing.T) {
 		post := func(seed int64) chan int {
 			ch := make(chan int, 1)
 			go func() {
-				body, _ := json.Marshal(&ScheduleRequest{Problem: genProblem(t, seed)})
+				body, _ := json.Marshal(&wire.ScheduleRequest{Problem: genProblem(t, seed)})
 				resp, err := http.Post(tsrv.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
 				if err != nil {
 					ch <- -1
@@ -243,7 +244,7 @@ func TestHTTPSurface(t *testing.T) {
 			runtime.Gosched()
 		}
 		// Pool and queue full: the next distinct request must bounce.
-		body, _ := json.Marshal(&ScheduleRequest{Problem: genProblem(t, 102)})
+		body, _ := json.Marshal(&wire.ScheduleRequest{Problem: genProblem(t, 102)})
 		resp, err := http.Post(tsrv.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

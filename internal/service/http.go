@@ -70,8 +70,8 @@ func fanOut(width, n int, fn func(int)) {
 // still limits the in-flight work, elements beyond it wait for free
 // slots instead of failing the whole batch. Per-element failures land in
 // the item's Error field.
-func Batch(ctx context.Context, s Scheduler, req *BatchRequest) *BatchResponse {
-	out := &BatchResponse{Responses: make([]BatchItem, len(req.Requests))}
+func Batch(ctx context.Context, s Scheduler, req *wire.BatchRequest) *wire.BatchResponse {
+	out := &wire.BatchResponse{Responses: make([]wire.BatchItem, len(req.Requests))}
 	fanOut(s.FanWidth(), len(req.Requests), func(i int) {
 		reply, err := s.Schedule(ctx, &req.Requests[i])
 		if err != nil {
@@ -86,7 +86,7 @@ func Batch(ctx context.Context, s Scheduler, req *BatchRequest) *BatchResponse {
 
 // Batch fans the requests across the worker pool (see the package-level
 // Batch).
-func (s *Service) Batch(ctx context.Context, req *BatchRequest) *BatchResponse {
+func (s *Service) Batch(ctx context.Context, req *wire.BatchRequest) *wire.BatchResponse {
 	return Batch(ctx, s, req)
 }
 
@@ -95,14 +95,14 @@ func (s *Service) Batch(ctx context.Context, req *BatchRequest) *BatchResponse {
 // a sweep re-run after an exploratory change only recomputes the
 // variants the change invalidated; under a cluster the variants hash to
 // different shards and run on different workers.
-func Sweep(ctx context.Context, s Scheduler, req *SweepRequest) (*SweepResponse, error) {
+func Sweep(ctx context.Context, s Scheduler, req *wire.SweepRequest) (*wire.SweepResponse, error) {
 	if req.Problem == nil {
-		return nil, fmt.Errorf("%w: missing problem", ErrBadRequest)
+		return nil, fmt.Errorf("%w: missing problem", wire.ErrBadRequest)
 	}
 	if len(req.Npfs) == 0 {
-		return nil, fmt.Errorf("%w: empty npfs", ErrBadRequest)
+		return nil, fmt.Errorf("%w: empty npfs", wire.ErrBadRequest)
 	}
-	out := &SweepResponse{Variants: make([]SweepVariant, len(req.Npfs))}
+	out := &wire.SweepResponse{Variants: make([]wire.SweepVariant, len(req.Npfs))}
 	fanOut(s.FanWidth(), len(req.Npfs), func(i int) {
 		npf := req.Npfs[i]
 		out.Variants[i].Npf = npf
@@ -120,7 +120,7 @@ func Sweep(ctx context.Context, s Scheduler, req *SweepRequest) (*SweepResponse,
 			nmf = npf
 		}
 		variant.SetFaults(spec.FaultModel{Npf: npf, Nmf: nmf})
-		reply, err := s.Schedule(ctx, &ScheduleRequest{
+		reply, err := s.Schedule(ctx, &wire.ScheduleRequest{
 			Problem: variant, Options: req.Options, Include: req.Include,
 		})
 		if err != nil {
@@ -151,7 +151,7 @@ func Sweep(ctx context.Context, s Scheduler, req *SweepRequest) (*SweepResponse,
 
 // Sweep schedules the problem once per requested Npf (see the
 // package-level Sweep).
-func (s *Service) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
+func (s *Service) Sweep(ctx context.Context, req *wire.SweepRequest) (*wire.SweepResponse, error) {
 	return Sweep(ctx, s, req)
 }
 
@@ -186,7 +186,7 @@ func NewHandler(s Scheduler) http.Handler {
 		if !wantMethod(w, r, http.MethodPost) {
 			return
 		}
-		var req ScheduleRequest
+		var req wire.ScheduleRequest
 		if !decodeBody(w, r, &req) {
 			return
 		}
@@ -201,7 +201,7 @@ func NewHandler(s Scheduler) http.Handler {
 		if !wantMethod(w, r, http.MethodPost) {
 			return
 		}
-		var req BatchRequest
+		var req wire.BatchRequest
 		if !decodeBody(w, r, &req) {
 			return
 		}
@@ -211,7 +211,7 @@ func NewHandler(s Scheduler) http.Handler {
 		if !wantMethod(w, r, http.MethodPost) {
 			return
 		}
-		var req SweepRequest
+		var req wire.SweepRequest
 		if !decodeBody(w, r, &req) {
 			return
 		}

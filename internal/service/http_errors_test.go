@@ -66,7 +66,7 @@ func TestErrorSurfacePinned(t *testing.T) {
 	t.Run("invalid problem is 422 INVALID_PROBLEM", func(t *testing.T) {
 		p := paperex.Problem()
 		p.Npf = 99 // more processor failures than processors
-		body, _ := json.Marshal(&ScheduleRequest{Problem: p})
+		body, _ := json.Marshal(&wire.ScheduleRequest{Problem: p})
 		resp, err := http.Post(srv.URL+"/v1/schedule", "application/json",
 			bytes.NewReader(body))
 		if err != nil {
@@ -102,7 +102,7 @@ func TestErrorSurfacePinned(t *testing.T) {
 		mk := func(npf int) []byte {
 			p := paperex.Problem()
 			p.Npf = npf
-			b, _ := json.Marshal(&ScheduleRequest{Problem: p})
+			b, _ := json.Marshal(&wire.ScheduleRequest{Problem: p})
 			return b
 		}
 		done := make(chan struct{}, 2)

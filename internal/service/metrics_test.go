@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ftbar/internal/obsv"
+	"ftbar/internal/wire"
 )
 
 // sampleValue digs a counter/gauge reading out of a registry snapshot.
@@ -47,7 +48,7 @@ func TestCountersReconcileUnderConcurrentLoad(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perClient; k++ {
 				i := iter.Add(1)
-				req := &ScheduleRequest{Problem: genProblem(t, int64(i)%distinct)}
+				req := &wire.ScheduleRequest{Problem: genProblem(t, int64(i)%distinct)}
 				if _, err := s.Schedule(ctx, req); err != nil {
 					errs[c] = err
 					return
@@ -123,7 +124,7 @@ func TestRejectionCounters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, int64(30+i))}); err != nil {
+			if _, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, int64(30+i))}); err != nil {
 				t.Errorf("held request %d: %v", i, err)
 			}
 		}(i)
@@ -136,7 +137,7 @@ func TestRejectionCounters(t *testing.T) {
 	}
 	const overflow = 3
 	for i := 0; i < overflow; i++ {
-		if _, err := s.TrySchedule(ctx, &ScheduleRequest{Problem: genProblem(t, int64(40+i))}); !errors.Is(err, ErrOverloaded) {
+		if _, err := s.TrySchedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, int64(40+i))}); !errors.Is(err, wire.ErrOverloaded) {
 			t.Fatalf("overflow %d got %v, want ErrOverloaded", i, err)
 		}
 	}
@@ -206,7 +207,7 @@ func TestConcurrentScrapes(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for k := 0; k < 6; k++ {
-				if _, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, int64(k%3))}); err != nil {
+				if _, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, int64(k%3))}); err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
 				}

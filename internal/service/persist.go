@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"ftbar/internal/core"
+	"ftbar/internal/wire"
 )
 
 // This file implements cache persistence across service restarts
@@ -22,15 +23,19 @@ import (
 // schedule with relay-aware fans and crash-separated placement, and a
 // pre-upgrade cache would silently miss that guarantee. Version 3 adds
 // the arena pool's warm-start decision logs (Records); the entry format
-// is unchanged, so version 2 files still load (entries only — the arenas
-// just start cold). Loading an UNKNOWN version stays an error: records
-// are self-verifying on replay, but responses are served verbatim.
-const snapshotVersion = 3
+// is unchanged, so version 2 files loaded as entries only. Version 4
+// changes both key formats: the response cache key hashes the problem's
+// content key and no longer names an engine, and the records' options
+// key no longer names the retired relay-blind planner. No version 2 or 3
+// key can match a version 4 request, so those files are refused rather
+// than loaded as dead weight. Loading an UNKNOWN version stays an error:
+// records are self-verifying on replay, but responses are served
+// verbatim.
+const snapshotVersion = 4
 
 // oldestLoadableVersion is the earliest snapshot version LoadCacheFile
-// accepts. Versions 2 and 3 share the entry format and the Section 12
-// planner; a version 2 file simply carries no warm-start records.
-const oldestLoadableVersion = 2
+// accepts: version 4 is the first with the current key formats.
+const oldestLoadableVersion = 4
 
 // cacheSnapshot is the on-disk shape of a cache snapshot.
 type cacheSnapshot struct {
@@ -44,8 +49,8 @@ type cacheSnapshot struct {
 
 // cacheSnapshotEntry is one persisted (key, response) pair.
 type cacheSnapshotEntry struct {
-	Key      string            `json:"key"`
-	Response *ScheduleResponse `json:"response"`
+	Key      string                 `json:"key"`
+	Response *wire.ScheduleResponse `json:"response"`
 }
 
 // snapshot collects the retained entries, least recently used first, so

@@ -10,6 +10,7 @@ import (
 	"ftbar/internal/gen"
 	"ftbar/internal/paperex"
 	"ftbar/internal/spec"
+	"ftbar/internal/wire"
 )
 
 // TestCachePersistenceRoundTrip is the restart round trip: a service
@@ -18,14 +19,14 @@ import (
 // hits without ever running the scheduler.
 func TestCachePersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
-	reqs := []*ScheduleRequest{
+	reqs := []*wire.ScheduleRequest{
 		{Problem: paperex.Problem()},
 		{Problem: genProblem(t, 41)},
-		{Problem: genProblem(t, 42), Include: Include{Stats: true}},
+		{Problem: genProblem(t, 42), Include: wire.Include{Stats: true}},
 	}
 
 	first := New(Config{Workers: 2})
-	var want []*ScheduleReply
+	var want []*wire.ScheduleReply
 	for _, req := range reqs {
 		reply, err := first.Schedule(context.Background(), req)
 		if err != nil {
@@ -101,7 +102,7 @@ func TestRestoreRespectsCapacity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
 	big := New(Config{Workers: 1, CacheSize: 16})
 	for seed := int64(1); seed <= 5; seed++ {
-		if _, err := big.Schedule(context.Background(), &ScheduleRequest{Problem: genProblem(t, seed)}); err != nil {
+		if _, err := big.Schedule(context.Background(), &wire.ScheduleRequest{Problem: genProblem(t, seed)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +121,7 @@ func TestRestoreRespectsCapacity(t *testing.T) {
 	}
 	// The most recently used problem (seed 5) must be among the
 	// survivors.
-	reply, err := small.Schedule(context.Background(), &ScheduleRequest{Problem: genProblem(t, 5)})
+	reply, err := small.Schedule(context.Background(), &wire.ScheduleRequest{Problem: genProblem(t, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSweepPreservesNmf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.Sweep(context.Background(), &SweepRequest{Problem: p, Npfs: []int{0, 1, 2}})
+	resp, err := s.Sweep(context.Background(), &wire.SweepRequest{Problem: p, Npfs: []int{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +178,10 @@ func TestSweepPreservesNmf(t *testing.T) {
 func TestScheduleRequestFaultsWire(t *testing.T) {
 	p := paperex.Problem()
 	p.SetFaults(spec.FaultModel{Npf: 1, Nmf: 1})
-	roundTrip(t, &ScheduleRequest{Problem: p}, &ScheduleRequest{})
+	roundTrip(t, &wire.ScheduleRequest{Problem: p}, &wire.ScheduleRequest{})
 
 	legacy := []byte(`{"problem": ` + mustProblemJSON(t, paperex.Problem()) + `}`)
-	var req ScheduleRequest
+	var req wire.ScheduleRequest
 	if err := json.Unmarshal(legacy, &req); err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (c Config) withDefaults() Config {
 
 // job is one admitted scheduling computation.
 type job struct {
-	req *ScheduleRequest
+	req *wire.ScheduleRequest
 	e   *entry
 }
 
@@ -216,14 +216,11 @@ func (s *Service) worker() {
 }
 
 // compute runs the scheduler and builds the cacheable response.
-func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
+func (s *Service) compute(req *wire.ScheduleRequest) (*wire.ScheduleResponse, error) {
 	if s.computeHook != nil {
 		s.computeHook()
 	}
-	opts, err := req.Options.CoreOptions()
-	if err != nil {
-		return nil, err
-	}
+	opts, _ := req.Options.CoreOptions() // every wire option combination is valid
 	// Classify the failure's side before running: a spec-invalid problem
 	// is the caller's fault (INVALID_PROBLEM), whatever the scheduler
 	// rejects beyond that failed on a well-formed problem
@@ -249,7 +246,7 @@ func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &ScheduleResponse{
+	resp := &wire.ScheduleResponse{
 		Length:        res.Schedule.Length(),
 		MeetsRtc:      res.MeetsRtc,
 		RtcViolation:  res.RtcViolation,
@@ -285,18 +282,18 @@ func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
 // Schedule submits a request and waits for its result, blocking while the
 // queue is full (the in-process and batch path). The context bounds the
 // wait.
-func (s *Service) Schedule(ctx context.Context, req *ScheduleRequest) (*ScheduleReply, error) {
+func (s *Service) Schedule(ctx context.Context, req *wire.ScheduleRequest) (*wire.ScheduleReply, error) {
 	return s.do(ctx, req, true)
 }
 
 // TrySchedule is Schedule with backpressure: a full queue rejects
 // immediately with ErrOverloaded instead of waiting (the HTTP admission
 // path, mapped to 429).
-func (s *Service) TrySchedule(ctx context.Context, req *ScheduleRequest) (*ScheduleReply, error) {
+func (s *Service) TrySchedule(ctx context.Context, req *wire.ScheduleRequest) (*wire.ScheduleReply, error) {
 	return s.do(ctx, req, false)
 }
 
-func (s *Service) do(ctx context.Context, req *ScheduleRequest, wait bool) (*ScheduleReply, error) {
+func (s *Service) do(ctx context.Context, req *wire.ScheduleRequest, wait bool) (*wire.ScheduleReply, error) {
 	key, err := req.CacheKey()
 	if err != nil {
 		return nil, err
@@ -311,7 +308,7 @@ func (s *Service) do(ctx context.Context, req *ScheduleRequest, wait bool) (*Sch
 			s.cacheMisses.Inc()
 			if err := s.submit(ctx, &job{req: req, e: e}, wait); err != nil {
 				s.cache.abandon(e, err)
-				if err == ErrOverloaded {
+				if err == wire.ErrOverloaded {
 					s.rejected.Inc()
 				}
 				return nil, err
@@ -335,7 +332,7 @@ func (s *Service) do(ctx context.Context, req *ScheduleRequest, wait bool) (*Sch
 			s.cacheHits.Inc()
 		}
 		s.lat.Observe(time.Since(t0).Seconds())
-		return &ScheduleReply{ScheduleResponse: e.resp, Cached: !owner}, nil
+		return &wire.ScheduleReply{ScheduleResponse: e.resp, Cached: !owner}, nil
 	}
 }
 
@@ -345,7 +342,7 @@ func (s *Service) submit(ctx context.Context, j *job, wait bool) error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return wire.ErrClosed
 	}
 	if wait {
 		select {
@@ -359,7 +356,7 @@ func (s *Service) submit(ctx context.Context, j *job, wait bool) error {
 	case s.queue <- j:
 		return nil
 	default:
-		return ErrOverloaded
+		return wire.ErrOverloaded
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"ftbar/internal/gen"
-	"ftbar/internal/paperex"
 	"ftbar/internal/spec"
+	"ftbar/internal/wire"
 )
 
 func genProblem(tb testing.TB, seed int64) *spec.Problem {
@@ -24,8 +24,8 @@ func genProblem(tb testing.TB, seed int64) *spec.Problem {
 
 func TestCacheKeyContentAddressing(t *testing.T) {
 	// Two independently generated copies of the same problem share a key.
-	a := &ScheduleRequest{Problem: genProblem(t, 5)}
-	b := &ScheduleRequest{Problem: genProblem(t, 5)}
+	a := &wire.ScheduleRequest{Problem: genProblem(t, 5)}
+	b := &wire.ScheduleRequest{Problem: genProblem(t, 5)}
 	ka, err := a.CacheKey()
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +38,10 @@ func TestCacheKeyContentAddressing(t *testing.T) {
 		t.Errorf("identical problems hash differently: %s vs %s", ka, kb)
 	}
 	// Any semantic difference separates the keys.
-	for name, req := range map[string]*ScheduleRequest{
+	for name, req := range map[string]*wire.ScheduleRequest{
 		"problem": {Problem: genProblem(t, 6)},
-		"options": {Problem: genProblem(t, 5), Options: RequestOptions{NoDuplication: true}},
-		"engine":  {Problem: genProblem(t, 5), Options: RequestOptions{Engine: "reference"}},
-		"include": {Problem: genProblem(t, 5), Include: Include{Stats: true}},
+		"options": {Problem: genProblem(t, 5), Options: wire.RequestOptions{NoDuplication: true}},
+		"include": {Problem: genProblem(t, 5), Include: wire.Include{Stats: true}},
 	} {
 		k, err := req.CacheKey()
 		if err != nil {
@@ -54,16 +53,11 @@ func TestCacheKeyContentAddressing(t *testing.T) {
 	}
 	// PreviewWorkers does not change the schedule, so it must not split
 	// the cache.
-	c := &ScheduleRequest{Problem: genProblem(t, 5), Options: RequestOptions{PreviewWorkers: 3}}
+	c := &wire.ScheduleRequest{Problem: genProblem(t, 5), Options: wire.RequestOptions{PreviewWorkers: 3}}
 	if k, _ := c.CacheKey(); k != ka {
 		t.Error("preview_workers split the cache key")
 	}
-	// Neither does spelling the default engine out.
-	d := &ScheduleRequest{Problem: genProblem(t, 5), Options: RequestOptions{Engine: "incremental"}}
-	if k, _ := d.CacheKey(); k != ka {
-		t.Error(`engine "incremental" split the cache key from the default`)
-	}
-	if _, err := (&ScheduleRequest{}).CacheKey(); !errors.Is(err, ErrBadRequest) {
+	if _, err := (&wire.ScheduleRequest{}).CacheKey(); !errors.Is(err, wire.ErrBadRequest) {
 		t.Error("missing problem accepted")
 	}
 }
@@ -75,7 +69,7 @@ func TestCachedResponsesBypassScheduler(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	ctx := context.Background()
-	first, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, 1)})
+	first, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +77,7 @@ func TestCachedResponsesBypassScheduler(t *testing.T) {
 		t.Error("cold request reported cached")
 	}
 	for i := 0; i < 5; i++ {
-		again, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, 1)})
+		again, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +120,7 @@ func TestBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, results[i] = s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, int64(10+i))})
+			_, results[i] = s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, int64(10+i))})
 		}(i)
 		if i == 0 {
 			<-entered // the worker holds request 0; request 1 will sit in the queue
@@ -136,7 +130,7 @@ func TestBackpressure(t *testing.T) {
 	for len(s.queue) == 0 {
 		runtime.Gosched()
 	}
-	if _, err := s.TrySchedule(ctx, &ScheduleRequest{Problem: genProblem(t, 12)}); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.TrySchedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, 12)}); !errors.Is(err, wire.ErrOverloaded) {
 		t.Fatalf("overflow submission got %v, want ErrOverloaded", err)
 	}
 	if st := s.Stats(); st.Rejected != 1 {
@@ -150,7 +144,7 @@ func TestBackpressure(t *testing.T) {
 		}
 	}
 	// The rejected key was abandoned, so a later identical request works.
-	if _, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, 12)}); err != nil {
+	if _, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, 12)}); err != nil {
 		t.Errorf("retry after rejection failed: %v", err)
 	}
 }
@@ -170,13 +164,13 @@ func TestInFlightCoalescing(t *testing.T) {
 
 	const clients = 8
 	var wg sync.WaitGroup
-	replies := make([]*ScheduleReply, clients)
+	replies := make([]*wire.ScheduleReply, clients)
 	errs := make([]error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			replies[i], errs[i] = s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, 77)})
+			replies[i], errs[i] = s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, 77)})
 		}(i)
 	}
 	<-entered // one owner is computing; the rest must coalesce
@@ -207,7 +201,7 @@ func TestLRUEviction(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, seed)}); err != nil {
+		if _, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, seed)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,13 +210,13 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// Seed 1 was evicted (LRU), so it recomputes; seed 3 is still warm.
 	runs := s.Stats().SchedulerRuns
-	if _, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, 3)}); err != nil {
+	if _, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().SchedulerRuns; got != runs {
 		t.Errorf("warm entry recomputed (runs %d -> %d)", runs, got)
 	}
-	if _, err := s.Schedule(ctx, &ScheduleRequest{Problem: genProblem(t, 1)}); err != nil {
+	if _, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: genProblem(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().SchedulerRuns; got != runs+1 {
@@ -237,7 +231,7 @@ func TestSweepVariantsAndOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.Sweep(context.Background(), &SweepRequest{Problem: p, Npfs: []int{0, 1, 2, -1}})
+	resp, err := s.Sweep(context.Background(), &wire.SweepRequest{Problem: p, Npfs: []int{0, 1, 2, -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +255,7 @@ func TestSweepVariantsAndOverhead(t *testing.T) {
 		}
 	}
 	// A re-run of the same sweep is fully cached.
-	again, err := s.Sweep(context.Background(), &SweepRequest{Problem: p, Npfs: []int{0, 1, 2}})
+	again, err := s.Sweep(context.Background(), &wire.SweepRequest{Problem: p, Npfs: []int{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +271,11 @@ func TestBatch(t *testing.T) {
 	defer s.Close()
 	// More elements than queue+workers: blocking submission must still
 	// finish every element.
-	reqs := make([]ScheduleRequest, 8)
+	reqs := make([]wire.ScheduleRequest, 8)
 	for i := range reqs {
-		reqs[i] = ScheduleRequest{Problem: genProblem(t, int64(i%3))} // repeats hit the cache
+		reqs[i] = wire.ScheduleRequest{Problem: genProblem(t, int64(i%3))} // repeats hit the cache
 	}
-	resp := s.Batch(context.Background(), &BatchRequest{Requests: reqs})
+	resp := s.Batch(context.Background(), &wire.BatchRequest{Requests: reqs})
 	for i, item := range resp.Responses {
 		if item.Error != "" {
 			t.Errorf("item %d: %s", i, item.Error)
@@ -295,14 +289,36 @@ func TestBatch(t *testing.T) {
 	}
 }
 
-func TestBadEngineRejected(t *testing.T) {
-	s := New(Config{})
+// TestSharedProblemConcurrentRequests sends one *spec.Problem from
+// several goroutines at once: every request keys it (the problem's
+// content-key memo sees concurrent first use under -race) and they
+// coalesce onto a single scheduler run.
+func TestSharedProblemConcurrentRequests(t *testing.T) {
+	s := New(Config{Workers: 2})
 	defer s.Close()
-	_, err := s.Schedule(context.Background(), &ScheduleRequest{
-		Problem: paperex.Problem(), Options: RequestOptions{Engine: "warp"},
-	})
-	if !errors.Is(err, ErrBadRequest) {
-		t.Errorf("unknown engine got %v, want ErrBadRequest", err)
+	p := genProblem(t, 9)
+	const n = 8
+	replies := make([]*wire.ScheduleReply, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			replies[i], errs[i] = s.Schedule(context.Background(), &wire.ScheduleRequest{Problem: p})
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if replies[i].ScheduleResponse != replies[0].ScheduleResponse {
+			t.Errorf("request %d got a different response object", i)
+		}
+	}
+	if st := s.Stats(); st.SchedulerRuns != 1 {
+		t.Errorf("scheduler ran %d times for one shared problem", st.SchedulerRuns)
 	}
 }
 
@@ -313,7 +329,7 @@ func TestErrorsNotCached(t *testing.T) {
 	p := genProblem(t, 3)
 	p.Npf = 5
 	ctx := context.Background()
-	if _, err := s.Schedule(ctx, &ScheduleRequest{Problem: p}); err == nil {
+	if _, err := s.Schedule(ctx, &wire.ScheduleRequest{Problem: p}); err == nil {
 		t.Fatal("unschedulable problem succeeded")
 	}
 	st := s.Stats()
@@ -332,7 +348,7 @@ func TestErrorsNotCached(t *testing.T) {
 func TestAbandonedEntryRetries(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	req := &ScheduleRequest{Problem: genProblem(t, 21)}
+	req := &wire.ScheduleRequest{Problem: genProblem(t, 21)}
 	key, err := req.CacheKey()
 	if err != nil {
 		t.Fatal(err)
@@ -343,11 +359,11 @@ func TestAbandonedEntryRetries(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Schedule(context.Background(), &ScheduleRequest{Problem: genProblem(t, 21)})
+		_, err := s.Schedule(context.Background(), &wire.ScheduleRequest{Problem: genProblem(t, 21)})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request coalesce onto e
-	s.cache.abandon(e, ErrOverloaded)
+	s.cache.abandon(e, wire.ErrOverloaded)
 	if err := <-done; err != nil {
 		t.Fatalf("coalesced waiter inherited the owner's admission failure: %v", err)
 	}
@@ -356,7 +372,7 @@ func TestAbandonedEntryRetries(t *testing.T) {
 func TestNegativeSizesFallBack(t *testing.T) {
 	s := New(Config{Workers: 1, QueueSize: -3})
 	defer s.Close()
-	if _, err := s.Schedule(context.Background(), &ScheduleRequest{Problem: genProblem(t, 4)}); err != nil {
+	if _, err := s.Schedule(context.Background(), &wire.ScheduleRequest{Problem: genProblem(t, 4)}); err != nil {
 		t.Errorf("negative queue size broke the service: %v", err)
 	}
 	if st := s.Stats(); st.QueueCapacity != 4 {
@@ -368,7 +384,7 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	s := New(Config{})
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Schedule(context.Background(), &ScheduleRequest{Problem: genProblem(t, 2)}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Schedule(context.Background(), &wire.ScheduleRequest{Problem: genProblem(t, 2)}); !errors.Is(err, wire.ErrClosed) {
 		t.Errorf("closed service accepted work: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ftbar/internal/paperex"
+	"ftbar/internal/wire"
 )
 
 // roundTrip marshals v, unmarshals into fresh, and re-marshals, failing
@@ -33,38 +34,38 @@ func roundTrip(t *testing.T, v, fresh any) {
 // response type survives JSON both ways, with realistic content produced
 // by an actual service run (raw schedule documents, sweep reports, stats).
 func TestWireTypesRoundTrip(t *testing.T) {
-	req := &ScheduleRequest{
+	req := &wire.ScheduleRequest{
 		Problem: paperex.Problem(),
-		Options: RequestOptions{NoDuplication: true, Engine: "reference", PreviewWorkers: 2},
-		Include: Include{Gantt: true, Stats: true, Sweep: true},
+		Options: wire.RequestOptions{NoDuplication: true, PreviewWorkers: 2},
+		Include: wire.Include{Gantt: true, Stats: true, Sweep: true},
 	}
-	roundTrip(t, req, &ScheduleRequest{})
+	roundTrip(t, req, &wire.ScheduleRequest{})
 
 	s := New(Config{})
 	defer s.Close()
-	reply, err := s.Schedule(context.Background(), &ScheduleRequest{
-		Problem: paperex.Problem(), Include: Include{Gantt: true, Stats: true, Sweep: true},
+	reply, err := s.Schedule(context.Background(), &wire.ScheduleRequest{
+		Problem: paperex.Problem(), Include: wire.Include{Gantt: true, Stats: true, Sweep: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundTrip(t, reply, &ScheduleReply{})
+	roundTrip(t, reply, &wire.ScheduleReply{})
 
-	batch := s.Batch(context.Background(), &BatchRequest{Requests: []ScheduleRequest{
+	batch := s.Batch(context.Background(), &wire.BatchRequest{Requests: []wire.ScheduleRequest{
 		{Problem: paperex.Problem()},
 	}})
-	roundTrip(t, batch, &BatchResponse{})
+	roundTrip(t, batch, &wire.BatchResponse{})
 
-	sweep, err := s.Sweep(context.Background(), &SweepRequest{
+	sweep, err := s.Sweep(context.Background(), &wire.SweepRequest{
 		Problem: paperex.Problem(), Npfs: []int{0, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundTrip(t, sweep, &SweepResponse{})
+	roundTrip(t, sweep, &wire.SweepResponse{})
 
-	roundTrip(t, &SweepRequest{Problem: paperex.Problem(), Npfs: []int{0, 2}}, &SweepRequest{})
-	roundTrip(t, &BatchRequest{Requests: []ScheduleRequest{{Problem: paperex.Problem()}}}, &BatchRequest{})
+	roundTrip(t, &wire.SweepRequest{Problem: paperex.Problem(), Npfs: []int{0, 2}}, &wire.SweepRequest{})
+	roundTrip(t, &wire.BatchRequest{Requests: []wire.ScheduleRequest{{Problem: paperex.Problem()}}}, &wire.BatchRequest{})
 
 	st := s.Stats()
 	roundTrip(t, &st, &Stats{})

@@ -161,7 +161,9 @@ func (p *Problem) Derive(m Mutation) (*Problem, Delta, error) {
 		return nil, Delta{}, err
 	}
 	d.ParentKey = key
-	child.ckey = derivedKey(key, m)
+	if ck := derivedKey(key, m); ck != "" {
+		child.ckey.Store(&ck)
+	}
 	return child, d, nil
 }
 
@@ -209,18 +211,22 @@ func derivedKey(parent string, m Mutation) string {
 // Like the compiled task graph, the key is memoised on first use under
 // the package convention that a problem is immutable once it starts
 // being scheduled; a caller that mutates tables afterwards keeps the
-// stale key, exactly as it would keep the stale task graph.
+// stale key, exactly as it would keep the stale task graph (SetFaults is
+// the exception: it drops the memo). The memo is published atomically,
+// so concurrent first uses of one problem are safe; they compute the
+// same key.
 func (p *Problem) ContentKey() (string, error) {
-	if p.ckey != "" {
-		return p.ckey, nil
+	if k := p.ckey.Load(); k != nil {
+		return *k, nil
 	}
 	b, err := json.Marshal(p)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(b)
-	p.ckey = hex.EncodeToString(sum[:])
-	return p.ckey, nil
+	k := hex.EncodeToString(sum[:])
+	p.ckey.Store(&k)
+	return k, nil
 }
 
 // Diff recognises whether child is one Derive step away from parent and

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/model"
@@ -297,8 +298,8 @@ type Problem struct {
 	// model keep working unchanged.
 	Npf int
 
-	tasks *model.TaskGraph // compiled lazily by Compile
-	ckey  string           // content address, memoised by ContentKey
+	tasks *model.TaskGraph       // compiled lazily by Compile
+	ckey  atomic.Pointer[string] // content address, memoised by ContentKey
 }
 
 // FaultModel resolves the effective fault budget: Faults when set, the
@@ -316,8 +317,10 @@ func (p *Problem) FaultModel() FaultModel {
 
 // SetFaults sets the unified fault budget, keeping the deprecated Npf
 // field mirrored for legacy readers. Processor-only budgets are stored in
-// the legacy field alone, the canonical form FaultModel() resolves.
+// the legacy field alone, the canonical form FaultModel() resolves. The
+// budget is part of the content, so a memoised content key is dropped.
 func (p *Problem) SetFaults(f FaultModel) {
+	p.ckey.Store(nil)
 	p.Npf = f.Npf
 	if f.Nmf != 0 {
 		p.Faults = f

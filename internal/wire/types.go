@@ -19,31 +19,20 @@ type RequestOptions struct {
 	NoDuplication bool `json:"no_duplication,omitempty"`
 	// TailsWithComms adds mean communication times to the S̄ tails.
 	TailsWithComms bool `json:"tails_with_comms,omitempty"`
-	// Engine selects the scheduling engine: "" or "incremental" for the
-	// default, "reference" for the seed oracle.
-	Engine string `json:"engine,omitempty"`
 	// PreviewWorkers bounds the incremental engine's preview pool; 0 lets
 	// the engine pick. The schedule does not depend on it, so it is
 	// excluded from the cache key.
 	PreviewWorkers int `json:"preview_workers,omitempty"`
 }
 
-// CoreOptions translates the wire options, rejecting unknown engines.
+// CoreOptions translates the wire options. Every combination is valid;
+// the error result is always nil and kept for the callers that check it.
 func (o RequestOptions) CoreOptions() (core.Options, error) {
-	opts := core.Options{
+	return core.Options{
 		NoDuplication:  o.NoDuplication,
 		TailsWithComms: o.TailsWithComms,
 		PreviewWorkers: o.PreviewWorkers,
-	}
-	switch o.Engine {
-	case "", "incremental":
-		opts.Engine = core.EngineIncremental
-	case "reference":
-		opts.Engine = core.EngineReference
-	default:
-		return opts, fmt.Errorf("%w: unknown engine %q", ErrBadRequest, o.Engine)
-	}
-	return opts, nil
+	}, nil
 }
 
 // Include selects the optional derived artefacts of a response. Each flag
@@ -66,28 +55,27 @@ type ScheduleRequest struct {
 }
 
 // CacheKey returns the content address of the request: a SHA-256 over the
-// canonical JSON of the problem and the semantically relevant options.
-// Identical problems submitted by different clients therefore share one
-// cache entry, whatever object identities the decoded requests have. The
-// cluster routes on the same address, so a problem's cache entry, arena
-// records and queue slot all live on the one worker that owns it.
+// problem's content key (spec.Problem.ContentKey) and the semantically
+// relevant options. Identical problems submitted by different clients
+// therefore share one cache entry, whatever object identities the decoded
+// requests have. The cluster routes on the same address, so a problem's
+// cache entry, arena records and queue slot all live on the one worker
+// that owns it. The problem key is memoised on the problem, so the arena
+// that later schedules it does not hash it again. A spec.Derive child
+// carries a structural key, so in-process it shares entries with the
+// same derivation rather than with a decoded copy of the same content;
+// requests decoded from the wire always key by content.
 func (r *ScheduleRequest) CacheKey() (string, error) {
 	if r.Problem == nil {
 		return "", fmt.Errorf("%w: missing problem", ErrBadRequest)
 	}
-	pb, err := json.Marshal(r.Problem)
+	pk, err := r.Problem.ContentKey()
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	// Spellings that select the same engine must share a key.
-	engine := r.Options.Engine
-	if engine == "" {
-		engine = "incremental"
-	}
 	h := sha256.New()
-	h.Write(pb)
-	fmt.Fprintf(h, "|nodup=%t|tails=%t|engine=%s|gantt=%t|stats=%t|sweep=%t",
-		r.Options.NoDuplication, r.Options.TailsWithComms, engine,
+	fmt.Fprintf(h, "%s|nodup=%t|tails=%t|gantt=%t|stats=%t|sweep=%t", pk,
+		r.Options.NoDuplication, r.Options.TailsWithComms,
 		r.Include.Gantt, r.Include.Stats, r.Include.Sweep)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

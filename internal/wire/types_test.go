@@ -58,9 +58,8 @@ func TestGoldenRoundTrips(t *testing.T) {
 
 // TestCacheKeyStability pins the content-address semantics the cluster
 // routes on: equal problems share a key whatever the decoded object
-// identity, engine spellings normalise, include flags alter the key (a
-// response is cached with exactly its artefacts), and a missing problem
-// fails as BAD_REQUEST.
+// identity, include flags alter the key (a response is cached with
+// exactly its artefacts), and a missing problem fails as BAD_REQUEST.
 func TestCacheKeyStability(t *testing.T) {
 	if _, err := (&ScheduleRequest{}).CacheKey(); CodeOf(err) != CodeBadRequest {
 		t.Errorf("missing problem: CodeOf = %s, want BAD_REQUEST", CodeOf(err))
@@ -78,12 +77,62 @@ func TestCacheKeyStability(t *testing.T) {
 	if ka != kb {
 		t.Error("identical problems in distinct objects got different keys")
 	}
-	b.Options.Engine = "incremental"
-	if kb2, _ := b.CacheKey(); kb2 != ka {
-		t.Error("engine spelling changed the key")
-	}
 	b.Include.Gantt = true
 	if kb3, _ := b.CacheKey(); kb3 == ka {
 		t.Error("include flags did not change the key")
+	}
+}
+
+// TestCacheKeyIgnoresRetiredEngineField decodes a request from a client
+// that still sends the retired "engine" option: the lenient decoder
+// drops it, so the request keys exactly like one without it.
+func TestCacheKeyIgnoresRetiredEngineField(t *testing.T) {
+	body, err := json.Marshal(&ScheduleRequest{Problem: paperex.Problem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain, old ScheduleRequest
+	if err := json.Unmarshal(body, &plain); err != nil {
+		t.Fatal(err)
+	}
+	withEngine := bytes.Replace(body, []byte(`"options":{}`), []byte(`"options":{"engine":"reference"}`), 1)
+	if bytes.Equal(withEngine, body) {
+		t.Fatalf("request body has no empty options object: %.200s", body)
+	}
+	if err := json.Unmarshal(withEngine, &old); err != nil {
+		t.Fatal(err)
+	}
+	kp, err := plain.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ko, _ := old.CacheKey(); ko != kp {
+		t.Error(`a request carrying "engine" keyed differently`)
+	}
+}
+
+// TestCacheKeyAfterSetFaults pins that the memoised problem key does not
+// outlive a budget change: SetFaults after keying yields a new key, the
+// same one a fresh problem with that budget gets.
+func TestCacheKeyAfterSetFaults(t *testing.T) {
+	r := ScheduleRequest{Problem: paperex.Problem()}
+	k1, err := r.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := r.Problem.FaultModel()
+	f.Npf++
+	r.Problem.SetFaults(f)
+	k2, err := r.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k2 == k1 {
+		t.Fatal("SetFaults after keying kept the stale key")
+	}
+	fresh := ScheduleRequest{Problem: paperex.Problem()}
+	fresh.Problem.SetFaults(f)
+	if kf, _ := fresh.CacheKey(); kf != k2 {
+		t.Error("re-keyed problem differs from a fresh one with the same budget")
 	}
 }
